@@ -243,8 +243,9 @@ def curl(argv: List[str], stdin: List[str], env: ExecEnv) -> List[str]:
 
 
 def gzip_to_b64(lines: List[str]) -> str:
-    """Compress a text stream into a single base64 line (one gzip member)."""
-    return base64.b64encode(gzip.compress(stream_bytes(lines))).decode()
+    """Compress a text stream into a single base64 line (one gzip member).
+    The header's MTIME is zero, so equal streams give equal lines."""
+    return base64.b64encode(gzip.compress(stream_bytes(lines), mtime=0)).decode()
 
 
 @register("gunzip")

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.annotations.model import Resolved
 from repro.commands.base import CommandError, ExecEnv, run_cli
 from repro.dfg.graph import DFG, Node
+from repro.runtime import split_chunks
 from repro.runtime.aggregators import aggregate
 from repro.shell.ast import AndOr, ForLoop, Pipeline, Script, SimpleCommand, Subshell
 from repro.shell.expand import expand_word
@@ -54,12 +55,6 @@ def stream_concat_variant(node: Node) -> Node:
     drop = {res.operand_pos[i] for i in res.inputs if i != "stdin"}
     argv = tuple(a for j, a in enumerate(node.argv) if j not in drop)
     return dataclasses.replace(node, argv=argv, via_stdin=True)
-
-
-def split_chunks(lines: List[str], width: int) -> List[List[str]]:
-    """PaSh's split: count the input, then cut into contiguous equal chunks."""
-    n = len(lines)
-    return [lines[i * n // width : (i + 1) * n // width] for i in range(width)]
 
 
 def exec_node(node: Node, in_streams: List[List[str]],

@@ -6,8 +6,8 @@ behaviour-preserving by construction, "n replicated nodes fed by a split"
 and "one per-chunk operator over an n-chunk stream" denote the same
 function — the former is what PaSh materializes as processes (and what our
 expanded DFG, pipe simulator, and node-count accounting use), the latter is
-the idiomatic Spark plan (``groupBy(p).applyInPandas`` stages over a
-range-chunked DataFrame). The equivalence between the two executions is
+the idiomatic Spark plan (fused ``mapInPandas`` stages over a chunked
+DataFrame). The equivalence between the two executions is
 asserted test-by-test against ``run_dfg_seq(parallelize(g, w))``.
 
 Width-sink behaviour matches the paper exactly: ⓝ/ⓔ/ⓟ-without-aggregator
@@ -59,6 +59,11 @@ def run_dfg_spark(
     stdin: Optional[List[str]] = None,
 ) -> List[str]:
     values: Dict[int, Value] = {}
+    made: List[SparkStream] = []  # streams whose resources this call owns
+
+    def keep(st: SparkStream) -> SparkStream:
+        made.append(st)
+        return st
 
     def edge_value(eid: int) -> Value:
         if eid in values:
@@ -70,7 +75,8 @@ def run_dfg_spark(
         return v
 
     def ensure_stream(v: Value, w: int = 1) -> SparkStream:
-        return v if isinstance(v, SparkStream) else SparkStream.from_lines(spark, v, w)
+        return v if isinstance(v, SparkStream) \
+            else keep(SparkStream.from_lines(spark, v, w))
 
     def ensure_lines(v: Value) -> List[str]:
         return v.collect_lines() if isinstance(v, SparkStream) else v
@@ -78,77 +84,81 @@ def run_dfg_spark(
     def env_capture(node: Node) -> Dict[str, List[str]]:
         return dict(env.files) if node.cmd in _ENV_READERS else {}
 
-    for nid in g.topo_order():
-        n = g.nodes[nid]
-        assert n.kind == "cmd", "spark backend interprets frontend DFGs"
-        res: Resolved = n.resolved  # type: ignore[assignment]
-        statics = [ensure_lines(edge_value(e)) for e in n.statics]
-        ins = [edge_value(e) for e in n.inputs]
+    def distribute(ins: List[Value], may_split: bool) -> SparkStream:
+        # driver-resident inputs are distributed pre-chunked when
+        # splitting is allowed (static file chunking / cheap split)
+        w0 = width if may_split and not isinstance(ins[0], SparkStream) else 1
+        st = SparkStream.cat([ensure_stream(v) for v in ins]) if len(ins) > 1 \
+            else ensure_stream(ins[0], w0)
+        if st.n_parts == 1 and enable_split and width > 1:
+            st = keep(st.split(width))
+        return st
 
-        is_plain_cat = (n.cmd == "cat" and n.cls == CLASS_S
-                       and (res is None or not res.opts))
-        multi_stream = res is not None and len(res.inputs) > 1
-        # graph-input *files* are statically chunkable even without the
-        # runtime split primitive (§6.1: "w/o split" still parallelizes the
-        # first pipeline segment); intermediate pipes need enable_split
-        file_backed = all(
-            g.edges[e].src is None and g.edges[e].kind == "file"
-            for e in n.inputs
-        ) if n.inputs else False
-        may_split = enable_split or file_backed
+    try:
+        for nid in g.topo_order():
+            n = g.nodes[nid]
+            assert n.kind == "cmd", "spark backend interprets frontend DFGs"
+            res: Resolved = n.resolved  # type: ignore[assignment]
+            statics = [ensure_lines(edge_value(e)) for e in n.statics]
+            ins = [edge_value(e) for e in n.inputs]
 
-        if n.inputs and n.cls == CLASS_S:
-            # driver-resident inputs are distributed pre-chunked when
-            # splitting is allowed (static file chunking / cheap split)
-            w0 = width if may_split and not isinstance(ins[0], SparkStream) else 1
-            st = SparkStream.cat([ensure_stream(v) for v in ins]) if len(ins) > 1 \
-                else ensure_stream(ins[0], w0)
-            if st.n_parts == 1 and enable_split and width > 1:
-                st = st.split(width)
-            if is_plain_cat:
-                out: Value = st  # T commutes the concatenation downstream
-            else:
-                chunk_node = stream_concat_variant(n) if multi_stream else n
-                out = st.per_chunk(
-                    _node_fn(chunk_node, statics, env_capture(n), env.ftypes))
-                if enable_eager:
-                    out = out.eager()
-        elif n.inputs and n.cls == CLASS_P and res is not None and res.aggregator:
-            w0 = width if may_split and not isinstance(ins[0], SparkStream) else 1
-            st = SparkStream.cat([ensure_stream(v) for v in ins]) if len(ins) > 1 \
-                else ensure_stream(ins[0], w0)
-            if st.n_parts == 1 and enable_split and width > 1:
-                st = st.split(width)
-            if st.n_parts == 1:
-                out = st.per_chunk(_node_fn(n, statics, env_capture(n), env.ftypes))
-            else:
-                if res.map_argv:
-                    map_node = dataclasses.replace(
-                        n, cmd=res.map_argv[0], argv=tuple(res.map_argv[1:]),
-                        via_stdin=True)
-                elif multi_stream:
-                    map_node = stream_concat_variant(n)
+            is_plain_cat = (n.cmd == "cat" and n.cls == CLASS_S
+                           and (res is None or not res.opts))
+            multi_stream = res is not None and len(res.inputs) > 1
+            # graph-input *files* are statically chunkable even without the
+            # runtime split primitive (§6.1: "w/o split" still parallelizes
+            # the first pipeline segment); intermediate pipes need enable_split
+            file_backed = all(
+                g.edges[e].src is None and g.edges[e].kind == "file"
+                for e in n.inputs
+            ) if n.inputs else False
+            may_split = enable_split or file_backed
+
+            if n.inputs and n.cls == CLASS_S:
+                st = distribute(ins, may_split)
+                if is_plain_cat:
+                    out: Value = st  # T commutes the concatenation downstream
                 else:
-                    map_node = n
-                mapped = st.per_chunk(
-                    _node_fn(map_node, statics, env_capture(map_node), env.ftypes))
-                if enable_eager:
-                    mapped = mapped.eager()
-                # the aggregator is PaSh's width-1 stage: one executor task
-                agg_fn = AGGREGATORS[res.aggregator]
-                out = mapped.aggregate(lambda parts, _r=res, _f=agg_fn: _f(parts, _r))
-        else:
-            # sources, ⓝ, ⓔ, ⓟ-without-aggregator, multi-stream inputs:
-            # sequential execution (the width sink of §6.1)
-            out = exec_node(n, [ensure_lines(v) for v in ins], statics, env)
-        values[n.outputs[0]] = out
+                    chunk_node = stream_concat_variant(n) if multi_stream else n
+                    out = st.per_chunk(
+                        _node_fn(chunk_node, statics, env_capture(n), env.ftypes))
+                    if enable_eager:
+                        out = keep(out.eager())
+            elif n.inputs and n.cls == CLASS_P and res is not None and res.aggregator:
+                st = distribute(ins, may_split)
+                if st.n_parts == 1:
+                    out = st.per_chunk(_node_fn(n, statics, env_capture(n), env.ftypes))
+                else:
+                    if res.map_argv:
+                        map_node = dataclasses.replace(
+                            n, cmd=res.map_argv[0], argv=tuple(res.map_argv[1:]),
+                            via_stdin=True)
+                    elif multi_stream:
+                        map_node = stream_concat_variant(n)
+                    else:
+                        map_node = n
+                    mapped = st.per_chunk(
+                        _node_fn(map_node, statics, env_capture(map_node), env.ftypes))
+                    if enable_eager:
+                        mapped = keep(mapped.eager())
+                    # the aggregator is PaSh's width-1 stage: one executor task
+                    agg_fn = AGGREGATORS[res.aggregator]
+                    out = mapped.aggregate(lambda parts, _r=res, _f=agg_fn: _f(parts, _r))
+            else:
+                # sources, ⓝ, ⓔ, ⓟ-without-aggregator, multi-stream inputs:
+                # sequential execution (the width sink of §6.1)
+                out = exec_node(n, [ensure_lines(v) for v in ins], statics, env)
+            values[n.outputs[0]] = out
 
-    result: List[str] = []
-    for eid in g.graph_outputs():
-        e = g.edges[eid]
-        lines = ensure_lines(values[eid])
-        if e.kind == "file" and e.label:
-            env.files[e.label] = lines
-        else:
-            result.extend(lines)
-    return result
+        result: List[str] = []
+        for eid in g.graph_outputs():
+            e = g.edges[eid]
+            lines = ensure_lines(values[eid])
+            if e.kind == "file" and e.label:
+                env.files[e.label] = lines
+            else:
+                result.extend(lines)
+        return result
+    finally:
+        # the broadcasts and persisted DataFrames of ingest, split and eager
+        SparkStream.release(made)

@@ -38,17 +38,14 @@ def pash_spark(
 ) -> List[str]:
     cs = script if isinstance(script, CompiledScript) else compile_script(script, shell_env)
     out: List[str] = []
-    try:
-        for step in cs.steps:
-            if step.kind == "dfg":
-                out.extend(run_dfg_spark(
-                    spark, step.dfg, env, width=width,
-                    enable_split=enable_split, enable_eager=enable_eager,
-                    stdin=stdin))
-            else:
-                out.extend(_run_ast(step.ast, list(stdin or []), env, cs.env))
-    finally:
-        # split/eager stages persist intermediates; release them so
-        # repeated invocations (benchmarks!) don't accumulate cache
-        spark.catalog.clearCache()
+    for step in cs.steps:
+        if step.kind == "dfg":
+            # each region frees its own broadcasts and persisted
+            # intermediates; the caller's cache and conf stay as they were
+            out.extend(run_dfg_spark(
+                spark, step.dfg, env, width=width,
+                enable_split=enable_split, enable_eager=enable_eager,
+                stdin=stdin))
+        else:
+            out.extend(_run_ast(step.ast, list(stdin or []), env, cs.env))
     return out

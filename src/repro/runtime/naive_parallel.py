@@ -41,7 +41,10 @@ def naive_parallel(
         return pash_seq(script, ExecEnv(files=files, ftypes=ftypes))
 
     st = SparkStream.from_lines(spark, lines, width)
-    return st.per_chunk(run_chunk).collect_lines()
+    try:
+        return st.per_chunk(run_chunk).collect_lines()
+    finally:
+        SparkStream.release([st])
 
 
 def diff_fraction(a: List[str], b: List[str]) -> float:

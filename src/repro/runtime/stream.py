@@ -5,6 +5,15 @@ chunk id — the DFG edge's position in its parallel bundle), ``s``
 (contiguous 0-based sequence number within ``p``) and ``line``. Total
 stream order is lexicographic ``(p, s)``.
 
+**Ingest** (driver-resident lines: graph-input files, width-sink outputs)
+cuts the lines at :func:`~repro.runtime.split_chunks` boundaries and sends
+each chunk as its own broadcast variable. The stream's DataFrame is then
+just the chunk ids, ``spark.range(width)`` in ``width`` partitions, and the
+first ``mapInPandas`` stage fuses the load with the pending chain: task
+``k`` reads chunk ``k`` and runs the chain on it. Python workers unpickle a
+broadcast lazily from its file, so each task loads only its own chunk — one
+job and one stage, no shuffle, and no session conf is touched.
+
 Mapping of PaSh runtime primitives (§5) onto Spark:
 
 * map stage  -> fused ``mapInPandas`` over chunk-aligned partitions running
@@ -24,22 +33,32 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
   :mod:`repro.pipesim`).
 
 **Alignment.** A stream is *aligned* when every chunk ``p`` lives entirely
-in one DataFrame partition. Aligned streams run map chains with no shuffle;
-split output pays one ``repartitionByRange(p)`` — range, not hash: hash
-partitioning collides chunks onto one core while others idle.
+in one DataFrame partition. Ingested streams are aligned by construction
+and run map chains with no shuffle; split output pays one
+``repartitionByRange(p)`` — range, not hash: hash partitioning collides
+chunks onto one core while others idle.
 
-**Spark traps encoded here:** ``coalesce(1)`` would collapse upstream maps
-into the single task (use ``repartition(1)``); ``Union(coalesce(1), ...)``
-is collapsed by Catalyst (ingest uses one range shuffle instead).
+**Resources.** A stream lists in ``owned`` the broadcasts and persisted
+DataFrames its plan reads (made by ingest, ``split`` and ``eager``). The
+caller that built the streams frees exactly those with
+:meth:`SparkStream.release` once their outputs are collected; the
+session's cache is otherwise left alone.
+
+**Spark trap encoded here:** ``coalesce(1)`` would collapse upstream maps
+into the single task (use ``repartition(1)``).
 """
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import dataclasses
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+from repro.runtime import split_chunks
 
 SCHEMA = "p long, s long, line string"
 
@@ -62,19 +81,25 @@ def _gather(batches) -> Optional[pd.DataFrame]:
     return pd.concat(frames, ignore_index=True) if len(frames) > 1 else frames[0]
 
 
-def _apply_chain(fns: List[ChunkFn]):
+def _apply_chain(fns: List[ChunkFn], source: Optional[List[Broadcast]] = None):
     """mapInPandas fn: run the fused chunk-function chain on every chunk
-    (grouped by ``p``) present in this partition."""
+    present in this partition — grouped by ``p``, or, for an ingested
+    stream (``source``), read from chunk ``p``'s broadcast."""
 
     def apply(batches):
         pdf = _gather(batches)
         if pdf is None:
             return
-        for p, sub in pdf.groupby("p", sort=True):
-            lines = sub.sort_values("s")["line"].tolist()
+        if source is not None:
+            # a copy: the worker caches the value for later tasks
+            chunks = ((p, list(source[p].value)) for p in sorted(pdf["p"].tolist()))
+        else:
+            chunks = ((int(p), sub.sort_values("s")["line"].tolist())
+                      for p, sub in pdf.groupby("p", sort=True))
+        for p, lines in chunks:
             for f in fns:
                 lines = f(lines)
-            yield _chunk_pdf(int(p), lines)
+            yield _chunk_pdf(p, lines)
 
     return apply
 
@@ -97,10 +122,8 @@ def _agg_stage(agg: AggFn, pre_parts: int, post: List[ChunkFn], width: int):
         lines = agg(parts)
         for f in post:
             lines = f(lines)
-        n = len(lines)
-        for k in range(width):
-            lo, hi = k * n // width, (k + 1) * n // width
-            yield _chunk_pdf(k, lines[lo:hi])
+        for k, chunk in enumerate(split_chunks(lines, width)):
+            yield _chunk_pdf(k, chunk)
 
     return apply
 
@@ -112,10 +135,8 @@ def _rechunk(width: int):
             return
         order = np.lexsort((pdf["s"].to_numpy(), pdf["p"].to_numpy()))
         lines = pdf["line"].to_numpy()[order]
-        n = len(lines)
-        for k in range(width):
-            lo, hi = k * n // width, (k + 1) * n // width
-            yield _chunk_pdf(k, list(lines[lo:hi]))
+        for k, chunk in enumerate(split_chunks(lines, width)):
+            yield _chunk_pdf(k, list(chunk))
 
     return apply
 
@@ -128,58 +149,59 @@ def _ordered_pandas(df: DataFrame) -> pd.DataFrame:
     return pdf.iloc[order]
 
 
+@dataclasses.dataclass(eq=False)
 class SparkStream:
     """An ordered line stream distributed over ``n_parts`` contiguous
     chunks, with a lazily-fused plan: pre-aggregate chunk functions, an
     optional deferred aggregator, and post-aggregate chunk functions."""
 
-    def __init__(self, df: DataFrame, n_parts: int,
-                 pending: Optional[List[ChunkFn]] = None,
-                 aligned: bool = False,
-                 agg: Optional[Tuple[AggFn, int]] = None,
-                 post: Optional[List[ChunkFn]] = None):
-        self.df = df
-        self.n_parts = n_parts  # post-aggregate view: 1 when agg is set
-        self.pending = pending or []
-        self.aligned = aligned
-        self.agg = agg  # (agg_fn, pre_agg_n_parts)
-        self.post = post or []
+    df: DataFrame
+    n_parts: int  # post-aggregate view: 1 when agg is set
+    pending: List[ChunkFn] = dataclasses.field(default_factory=list)
+    aligned: bool = False
+    agg: Optional[Tuple[AggFn, int]] = None  # (agg_fn, pre_agg_n_parts)
+    post: List[ChunkFn] = dataclasses.field(default_factory=list)
+    # ingest broadcasts, one per chunk; ``df`` then holds only the chunk ids
+    source: Optional[List[Broadcast]] = None
+    owned: Tuple[object, ...] = ()  # broadcasts and persisted DataFrames
 
     # -- constructors --------------------------------------------------------
     @staticmethod
     def from_lines(spark: SparkSession, lines: List[str], width: int = 1) -> "SparkStream":
         """Distribute ``lines`` pre-chunked into ``width`` contiguous chunks
-        (static file chunking — no runtime split needed for file inputs)."""
+        (static file chunking — no runtime split needed for file inputs),
+        one broadcast per chunk."""
         lines = list(lines)
-        n = len(lines)
-        width = max(1, min(width, n) if n else 1)
-        spark.conf.set("spark.sql.execution.arrow.maxRecordsPerBatch", "250000")
-        frames = [
-            _chunk_pdf(k, lines[k * n // width : (k + 1) * n // width])
-            for k in range(width)
-        ]
-        pdf = pd.concat(frames, ignore_index=True) if frames else _chunk_pdf(0, [])
-        if len(pdf) == 0:
-            return SparkStream(spark.createDataFrame([], schema=SCHEMA), width,
+        if not lines:
+            return SparkStream(spark.createDataFrame([], schema=SCHEMA), 1,
                                aligned=True)
-        # exact-width range partitioning gives one whole chunk per task
-        # (hash collides chunks onto one core; surplus hash buckets drown
-        # in empty-task overhead). The persist matters: the range
-        # partitioner's sampling job would otherwise re-run the driver-side
-        # Arrow conversion once more per action.
-        base = spark.createDataFrame(pdf, schema=SCHEMA).persist()
-        df = base.repartitionByRange(width, "p")
-        return SparkStream(df, width, aligned=True)
+        width = max(1, min(width, len(lines)))
+        bcs = [spark.sparkContext.broadcast(chunk)
+               for chunk in split_chunks(lines, width)]
+        df = spark.range(0, width, 1, width).toDF("p")
+        return SparkStream(df, width, aligned=True, source=bcs, owned=tuple(bcs))
+
+    @staticmethod
+    def release(streams: Iterable["SparkStream"]) -> None:
+        """Free what ``streams`` own, each object once: destroy the ingest
+        broadcasts, unpersist the DataFrames ``split``/``eager`` persisted."""
+        owned = {id(r): r for st in streams for r in st.owned}
+        for r in owned.values():
+            if isinstance(r, DataFrame):
+                r.unpersist()
+            else:
+                r.destroy()
 
     # -- internal plan materialization ----------------------------------------
     def _pre_df(self) -> DataFrame:
-        """The wide (pre-aggregate) stage as a DataFrame."""
-        if not self.pending:
+        """The wide (pre-aggregate) stage as a DataFrame; for an ingested
+        stream, the load fused with the pending chain."""
+        if not self.pending and self.source is None:
             return self.df
         pre_parts = self.agg[1] if self.agg else self.n_parts
         df = self.df if self.aligned else \
             self.df.repartitionByRange(max(pre_parts, 1), "p")
-        return df.mapInPandas(_apply_chain(list(self.pending)), SCHEMA)
+        return df.mapInPandas(_apply_chain(list(self.pending), self.source), SCHEMA)
 
     def _materialized(self, rechunk_width: int = 1) -> DataFrame:
         """Materialize the whole plan. With a deferred aggregate, the
@@ -194,9 +216,10 @@ class SparkStream:
         return self._pre_df()
 
     def _mat_stream(self) -> "SparkStream":
-        if not self.pending and self.agg is None:
+        if not self.pending and self.agg is None and self.source is None:
             return self
-        return SparkStream(self._materialized(), self.n_parts, aligned=True)
+        return SparkStream(self._materialized(), self.n_parts, aligned=True,
+                           owned=self.owned)
 
     # -- structural ops --------------------------------------------------------
     @staticmethod
@@ -207,13 +230,15 @@ class SparkStream:
         df = None
         off = 0
         aligned = True
+        owned: Tuple[object, ...] = ()
         for st in streams:
             m = st._mat_stream()
             aligned = aligned and m.aligned
+            owned += m.owned
             part = m.df.select((F.col("p") + F.lit(off)).alias("p"), "s", "line")
             df = part if df is None else df.unionAll(part)
             off += st.n_parts
-        return SparkStream(df, off, aligned=aligned)
+        return SparkStream(df, off, aligned=aligned, owned=owned)
 
     def split(self, width: int) -> "SparkStream":
         """Re-chunk into ``width`` contiguous pieces (PaSh split). Fused
@@ -226,12 +251,19 @@ class SparkStream:
                 else self._pre_df().repartition(1).mapInPandas(_rechunk(width), SCHEMA)
             # persist: the consumer's range partitioner samples first, which
             # would otherwise recompute this single-task stage
-            return SparkStream(df.persist(), width, aligned=False)
+            df = df.persist()
+            return SparkStream(df, width, aligned=False, owned=self.owned + (df,))
         mdf = self._materialized().persist()
-        counts = {r["p"]: r["count"] for r in mdf.groupBy("p").count().collect()}
+        owned = self.owned + (mdf,)
+        try:
+            counts = {r["p"]: r["count"] for r in mdf.groupBy("p").count().collect()}
+        except BaseException:
+            mdf.unpersist()
+            raise
         total = sum(counts.values())
         if total == 0:
-            return SparkStream(mdf.select(F.lit(0).alias("p"), "s", "line"), 1)
+            return SparkStream(mdf.select(F.lit(0).alias("p"), "s", "line"), 1,
+                               owned=owned)
         offs: List[int] = []
         acc = 0
         for p in range(self.n_parts):
@@ -255,37 +287,37 @@ class SparkStream:
             .select(F.col("np").alias("p"), (F.col("g") - start_expr).alias("s"),
                     "line")
         )
-        return SparkStream(df, width, aligned=False)
+        return SparkStream(df, width, aligned=False, owned=owned)
 
     def coalesce1(self) -> "SparkStream":
         """Merge all chunks into one (p=0), keeping order."""
         if self.agg is not None:
-            return SparkStream(self._materialized(1), 1, aligned=True)
+            return SparkStream(self._materialized(1), 1, aligned=True,
+                               owned=self.owned)
         st = self._mat_stream()
         df = st.df.repartition(1).mapInPandas(_rechunk(1), SCHEMA)
-        return SparkStream(df, 1, aligned=True)
+        return SparkStream(df, 1, aligned=True, owned=st.owned)
 
     # -- compute ops -----------------------------------------------------------
     def per_chunk(self, fn: ChunkFn) -> "SparkStream":
         """Run the black-box ``fn`` independently on every chunk — the n
         replicated nodes of transformation T. Lazy and fused."""
         if self.agg is not None:
-            return SparkStream(self.df, self.n_parts, self.pending, self.aligned,
-                               self.agg, self.post + [fn])
-        return SparkStream(self.df, self.n_parts, self.pending + [fn], self.aligned)
+            return dataclasses.replace(self, post=self.post + [fn])
+        return dataclasses.replace(self, pending=self.pending + [fn])
 
     def aggregate(self, fn: AggFn) -> "SparkStream":
         """Collapse all chunks, in order, through an aggregator — PaSh's
         width-1 aggregate stage. Deferred: fuses with a following split or
         runs driver-side at a sink."""
         base = self._mat_stream() if self.agg is not None else self
-        return SparkStream(base.df, 1, base.pending, base.aligned,
-                           (fn, base.n_parts if base.agg is None else base.n_parts), [])
+        return dataclasses.replace(base, n_parts=1, agg=(fn, base.n_parts), post=[])
 
     def eager(self) -> "SparkStream":
         """Materialized buffer (§5 eager relay): persist the intermediate."""
         st = self._mat_stream()
-        return SparkStream(st.df.persist(), st.n_parts, aligned=st.aligned)
+        df = st.df.persist()
+        return SparkStream(df, st.n_parts, aligned=st.aligned, owned=st.owned + (df,))
 
     def collect_parts(self) -> List[List[str]]:
         """Collect the ordered chunks — the aggregator's input streams."""
@@ -305,7 +337,7 @@ class SparkStream:
             # run the deferred aggregator on the driver: one transfer of the
             # map outputs instead of an executor round-trip
             agg_fn, pre_parts = self.agg
-            wide = SparkStream(self.df, pre_parts, self.pending, self.aligned)
+            wide = dataclasses.replace(self, n_parts=pre_parts, agg=None, post=[])
             lines = agg_fn(wide.collect_parts())
             for f in self.post:
                 lines = f(lines)

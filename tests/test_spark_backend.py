@@ -3,13 +3,17 @@ shell semantics, byte for byte, for every benchmark script — plus DuckDB
 oracle cross-checks for the query-shaped results.
 """
 import random
+import uuid
 
 import pandas as pd
 import pytest
+from pyspark import StorageLevel
 
 from repro.commands.base import ExecEnv
 from repro.compiler import pash_seq, pash_spark
 from repro.oracle import assert_equivalent
+from repro.runtime import split_chunks
+from repro.runtime.naive_parallel import naive_parallel
 from repro.runtime.stream import SparkStream
 from repro.workloads import ONELINERS, UNIX50
 from repro.workloads import noaa, webindex
@@ -71,6 +75,92 @@ class TestStream:
         lines = [str(i) for i in range(50)]
         st = SparkStream.from_lines(spark, lines, 3).split(5)
         assert st.n_parts == 5 and st.collect_lines() == lines
+
+
+class TestIngest:
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 103])
+    def test_chunks_match_split_chunks(self, spark, n, width):
+        """Ingest cuts where PaSh's split does, after clamping the width to
+        the line count (an empty input is one empty chunk)."""
+        lines = [f"l{i}" for i in range(n)]
+        st = SparkStream.from_lines(spark, lines, width)
+        try:
+            assert st.collect_parts() == split_chunks(lines, max(1, min(width, n)))
+        finally:
+            SparkStream.release([st])
+
+    def test_map_over_ingest_is_one_job(self, spark):
+        """Load and map fuse into a single stage: one job, one task per
+        chunk, no shuffle in between."""
+        sc = spark.sparkContext
+        lines = [f"l{i}" for i in range(50)]
+        st = SparkStream.from_lines(spark, lines, 3)
+        group = f"ingest-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, "one job per ingest+map")
+        try:
+            out = st.per_chunk(lambda ls: [l.upper() for l in ls]).collect_lines()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+            SparkStream.release([st])
+        assert out == [l.upper() for l in lines]
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        tracker = sc.statusTracker()
+        jobs = tracker.getJobIdsForGroup(group)
+        assert len(jobs) == 1
+        stages = [tracker.getStageInfo(s) for s in tracker.getJobInfo(jobs[0]).stageIds]
+        assert [s.numTasks for s in stages] == [3]
+
+
+# P after P (a split), eager buffers and ingest: every resource kind a call makes
+HYGIENE_SCRIPT = 'cat in.txt | tr -cs A-Za-z "\\n" | sort | uniq -c | sort -rn | head -n 5'
+
+
+class TestSessionHygiene:
+    def test_pash_spark_leaves_conf_and_caller_cache(self, spark, corpus_env):
+        key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        conf0 = spark.conf.get(key, None)
+        spark.conf.set(key, "777")
+        mine = spark.range(100).persist()
+        try:
+            assert mine.count() == 100
+            level0 = mine.storageLevel  # looked up in the session's cache
+            assert level0 != StorageLevel.NONE
+            persistent0 = len(spark.sparkContext._jsc.getPersistentRDDs())
+            out = pash_spark(spark, HYGIENE_SCRIPT, fresh(corpus_env), width=3,
+                             enable_eager=True)
+            assert out == pash_seq(HYGIENE_SCRIPT, fresh(corpus_env))
+            assert spark.conf.get(key) == "777"
+            assert mine.storageLevel == level0
+            # the call's own persisted intermediates are gone again
+            assert len(spark.sparkContext._jsc.getPersistentRDDs()) == persistent0
+        finally:
+            mine.unpersist()
+            if conf0 is None:
+                spark.conf.unset(key)
+            else:
+                spark.conf.set(key, conf0)
+
+    @pytest.mark.parametrize("entry", ["pash_spark", "naive_parallel"])
+    def test_call_destroys_its_broadcasts(self, spark, corpus_env, monkeypatch, entry):
+        sc = spark.sparkContext
+        made = []
+        broadcast = sc.broadcast
+
+        def recording(value):
+            made.append(broadcast(value))
+            return made[-1]
+
+        monkeypatch.setattr(sc, "broadcast", recording)
+        if entry == "pash_spark":
+            pash_spark(spark, HYGIENE_SCRIPT, fresh(corpus_env), width=3,
+                       enable_eager=True)
+        else:
+            naive_parallel(spark, HYGIENE_SCRIPT, fresh(corpus_env),
+                           input_file="in.txt", width=3)
+        assert made
+        assert [bc._jbroadcast.isValid() for bc in made] == [False] * len(made)
 
 
 SPARK_SCRIPTS = [

@@ -1,6 +1,8 @@
 """Workload definitions: every evaluated script compiles to dataflow
 regions and its transformed DFG is sequentially equivalent at several
 widths (Spark execution is covered in test_spark_backend.py)."""
+import base64
+
 import pytest
 
 from repro.commands.base import ExecEnv
@@ -95,6 +97,14 @@ class TestNOAA:
     def test_all_regions_are_dfgs(self):
         cs = compile_script(noaa.FULL)
         assert len(cs.steps) == 5 and all(s.kind == "dfg" for s in cs.steps)
+
+    def test_env_is_byte_deterministic(self):
+        kw = dict(files_per_year=2, records_per_file=50, seed=4)
+        env = noaa_env([2015, 2016], **kw)
+        assert env.files == noaa_env([2015, 2016], **kw).files
+        # the gzip header's MTIME (bytes 4-7) would otherwise stamp the clock
+        member = base64.b64decode(env.files["noaa/2015/2015-0000.gz"][0])
+        assert member[4:8] == bytes(4)
 
     def test_999_sentinel_filtered(self):
         env = noaa_env([2015], files_per_year=2, records_per_file=500)
