@@ -2,8 +2,7 @@
 
 Each job exposes ``run(spark, **params) -> list[dict]`` (the table rows)
 plus a ``main()`` that builds a local session — so the same code serves
-``spark-submit jobs/<name>.py``, the pytest benchmarks, and EXPERIMENTS.md
-regeneration.
+``spark-submit jobs/<name>.py`` and the pytest benchmarks.
 """
 from __future__ import annotations
 

@@ -1,49 +1,61 @@
-"""Spark backend: data-parallel interpretation of a dataflow region.
+"""Spark backend: lowers the DFG transformation T produced (§4.3, §5).
 
-This backend interprets the *original* DFG with the parallelization
-semantics of the transformed one (§4.3): because transformation T is
-behaviour-preserving by construction, "n replicated nodes fed by a split"
-and "one per-chunk operator over an n-chunk stream" denote the same
-function — the former is what PaSh materializes as processes (and what our
-expanded DFG, pipe simulator, and node-count accounting use), the latter is
-the idiomatic Spark plan (fused ``mapInPandas`` stages over a chunked
-DataFrame). The equivalence between the two executions is
-asserted test-by-test against ``run_dfg_seq(parallelize(g, w))``.
-
-Width-sink behaviour matches the paper exactly: ⓝ/ⓔ/ⓟ-without-aggregator
-nodes run sequentially (driver-side), and a following parallelizable node
-re-splits only when ``enable_split`` — disabling split therefore leaves
-everything after the first aggregator sequential (§6.1's "No Split").
+``run_dfg_spark`` runs ``parallelize(g, width)`` — the graph that node
+counts, ``pipesim``, ``emit_script`` and the equivalence tests use — and
+lowers it node kind by node kind onto :class:`SparkStream`, deciding
+nothing itself. The ``map`` copies of one command (``Node.origin``) become
+one per-chunk operator over their bundle's stream (fused ``mapInPandas``
+stages: PaSh's process chain per width lane), and its ``agg`` tree one
+width-1 ``aggregate``. ``split`` ingests driver lines chunked or re-chunks
+a stream; ``cat`` joins its sources; ``eager`` and ``relay`` pass their
+input on, since Spark stages hand off materialized outputs (pipe laziness
+is modelled in :mod:`repro.pipesim`); ``cmd`` nodes — sources and width
+sinks — run on the driver. A bundle is one stream: consecutive lanes of
+one stream are that stream, and several sources are joined by
+``SparkStream.cat``. A command failing in a Spark task raises
+:class:`CommandError` with its message, as in the sequential backend.
 """
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
+from pyspark.errors import PythonException
 from pyspark.sql import SparkSession
 
-from repro.annotations.model import CLASS_P, CLASS_S, Resolved
-from repro.commands.base import ExecEnv
+from repro.commands.base import CommandError, ExecEnv
+from repro.dfg import transform  # looked up per call: tracers wrap parallelize
 from repro.dfg.graph import DFG, Node
 from repro.runtime.aggregators import AGGREGATORS
 from repro.runtime.stream import SparkStream
 
-from .backend_seq import exec_node, stream_concat_variant
+from .backend_seq import exec_node
 
 # commands that read the simulated environment (vfs / network / file types)
 # at runtime and therefore need it captured into their task closures
 _ENV_READERS = {"xargs", "curl", "file"}
 
-Value = Union[List[str], SparkStream]
+# how a CommandError raised in a Python worker ends its traceback
+_COMMAND_ERROR = f"{CommandError.__module__}.{CommandError.__qualname__}: "
 
 
-def _node_fn(node: Node, statics: List[List[str]], env_files: Dict[str, List[str]],
-             ftypes: Dict[str, str]):
+class _Lane(NamedTuple):
+    """Edge value for lane ``k`` of a bundle that is one stream; lane 0
+    holds the stream as ``whole``."""
+
+    whole: Optional[SparkStream]
+    k: int
+
+
+Value = Union[List[str], SparkStream, _Lane]
+
+
+def _node_fn(node: Node, statics: List[List[str]], env: ExecEnv):
     """Build a picklable chunk function running ``node`` on a line chunk."""
+    files = dict(env.files) if node.cmd in _ENV_READERS else {}
+    ftypes = env.ftypes
 
     def fn(lines: List[str]) -> List[str]:
-        env = ExecEnv(files=env_files, ftypes=ftypes)
-        return exec_node(node, [lines], statics, env)
+        return exec_node(node, [lines], statics, ExecEnv(files=files, ftypes=ftypes))
 
     return fn
 
@@ -55,9 +67,10 @@ def run_dfg_spark(
     *,
     width: int,
     enable_split: bool = True,
-    enable_eager: bool = False,
     stdin: Optional[List[str]] = None,
 ) -> List[str]:
+    pg = transform.parallelize(g, width, enable_split=enable_split,
+                               enable_eager=False)
     values: Dict[int, Value] = {}
     made: List[SparkStream] = []  # streams whose resources this call owns
 
@@ -65,100 +78,95 @@ def run_dfg_spark(
         made.append(st)
         return st
 
-    def edge_value(eid: int) -> Value:
-        if eid in values:
-            return values[eid]
-        e = g.edges[eid]
-        assert e.src is None
-        v = list(stdin or []) if e.label == "<stdin>" else env.read(e.label or "")
-        values[eid] = v
-        return v
+    def value(eid: int) -> Value:
+        if eid not in values:  # a graph input
+            e = pg.edges[eid]
+            lines = list(stdin or []) if e.label == "<stdin>" else env.read(e.label or "")
+            if e.chunk is None:
+                values[eid] = lines
+            else:  # a file chunked statically into n lanes: lane 0 ingests it
+                k, n = e.chunk
+                values[eid] = _Lane(
+                    keep(SparkStream.from_lines(spark, lines, n)) if k == 0 else None, k)
+        return values[eid]
 
-    def ensure_stream(v: Value, w: int = 1) -> SparkStream:
-        return v if isinstance(v, SparkStream) \
-            else keep(SparkStream.from_lines(spark, v, w))
+    def sources(eids: List[int]) -> list:
+        """A bundle's sources: the lanes of one stream are that stream."""
+        vals = [value(e) for e in eids]
+        return [v.whole if isinstance(v, _Lane) else v for v in vals
+                if not isinstance(v, _Lane) or v.k == 0]
 
-    def ensure_lines(v: Value) -> List[str]:
+    def stream(srcs: list) -> SparkStream:
+        """One stream over ``srcs``; driver-resident lines are one chunk."""
+        sts = [v if isinstance(v, SparkStream)
+               else keep(SparkStream.from_lines(spark, v)) for v in srcs]
+        return sts[0] if len(sts) == 1 else SparkStream.cat(sts)
+
+    def lines(v) -> List[str]:
         return v.collect_lines() if isinstance(v, SparkStream) else v
 
-    def env_capture(node: Node) -> Dict[str, List[str]]:
-        return dict(env.files) if node.cmd in _ENV_READERS else {}
-
-    def distribute(ins: List[Value], may_split: bool) -> SparkStream:
-        # driver-resident inputs are distributed pre-chunked when
-        # splitting is allowed (static file chunking / cheap split)
-        w0 = width if may_split and not isinstance(ins[0], SparkStream) else 1
-        st = SparkStream.cat([ensure_stream(v) for v in ins]) if len(ins) > 1 \
-            else ensure_stream(ins[0], w0)
-        if st.n_parts == 1 and enable_split and width > 1:
-            st = keep(st.split(width))
-        return st
+    # the copies of one command, in lane order, are lowered at the last one
+    groups: Dict[tuple, List[Node]] = {}
+    for n in pg.nodes.values():
+        if n.origin is not None:
+            groups.setdefault((n.kind, n.origin), []).append(n)
+    left = {key: len(copies) for key, copies in groups.items()}
 
     try:
-        for nid in g.topo_order():
-            n = g.nodes[nid]
-            assert n.kind == "cmd", "spark backend interprets frontend DFGs"
-            res: Resolved = n.resolved  # type: ignore[assignment]
-            statics = [ensure_lines(edge_value(e)) for e in n.statics]
-            ins = [edge_value(e) for e in n.inputs]
-
-            is_plain_cat = (n.cmd == "cat" and n.cls == CLASS_S
-                           and (res is None or not res.opts))
-            multi_stream = res is not None and len(res.inputs) > 1
-            # graph-input *files* are statically chunkable even without the
-            # runtime split primitive (§6.1: "w/o split" still parallelizes
-            # the first pipeline segment); intermediate pipes need enable_split
-            file_backed = all(
-                g.edges[e].src is None and g.edges[e].kind == "file"
-                for e in n.inputs
-            ) if n.inputs else False
-            may_split = enable_split or file_backed
-
-            if n.inputs and n.cls == CLASS_S:
-                st = distribute(ins, may_split)
-                if is_plain_cat:
-                    out: Value = st  # T commutes the concatenation downstream
-                else:
-                    chunk_node = stream_concat_variant(n) if multi_stream else n
-                    out = st.per_chunk(
-                        _node_fn(chunk_node, statics, env_capture(n), env.ftypes))
-                    if enable_eager:
-                        out = keep(out.eager())
-            elif n.inputs and n.cls == CLASS_P and res is not None and res.aggregator:
-                st = distribute(ins, may_split)
-                if st.n_parts == 1:
-                    out = st.per_chunk(_node_fn(n, statics, env_capture(n), env.ftypes))
-                else:
-                    if res.map_argv:
-                        map_node = dataclasses.replace(
-                            n, cmd=res.map_argv[0], argv=tuple(res.map_argv[1:]),
-                            via_stdin=True)
-                    elif multi_stream:
-                        map_node = stream_concat_variant(n)
-                    else:
-                        map_node = n
-                    mapped = st.per_chunk(
-                        _node_fn(map_node, statics, env_capture(map_node), env.ftypes))
-                    if enable_eager:
-                        mapped = keep(mapped.eager())
-                    # the aggregator is PaSh's width-1 stage: one executor task
-                    agg_fn = AGGREGATORS[res.aggregator]
-                    out = mapped.aggregate(lambda parts, _r=res, _f=agg_fn: _f(parts, _r))
+        for nid in pg.topo_order():
+            n = pg.nodes[nid]
+            key = (n.kind, n.origin)
+            if key in left:
+                left[key] -= 1
+                if left[key]:
+                    continue
+                group = groups[key]
+            if n.kind == "map":
+                node = group[0]
+                fn = _node_fn(node, [lines(value(e)) for e in node.statics], env)
+                out = stream(sources([m.inputs[0] for m in group])).per_chunk(fn)
+                values.update((m.outputs[0], _Lane(out, k)) for k, m in enumerate(group))
+            elif n.kind == "agg":
+                # n is the root: the tree's leaves are the map outputs, in order
+                inner = {e for a in group for e in a.outputs}
+                leaves = [e for a in group for e in a.inputs if e not in inner]
+                agg_fn = AGGREGATORS[n.agg_name]
+                values[n.outputs[0]] = stream(sources(leaves)).aggregate(
+                    lambda parts, _f=agg_fn, _r=n.agg_spec: _f(parts, _r))
+            elif n.kind == "split":
+                v = value(n.inputs[0])
+                w = len(n.outputs)
+                st = keep(v.split(w) if isinstance(v, SparkStream)
+                          else SparkStream.from_lines(spark, v, w))
+                values.update((o, _Lane(st, k)) for k, o in enumerate(n.outputs))
+            elif n.kind == "cat":
+                srcs = sources(n.inputs)
+                values[n.outputs[0]] = stream(srcs) \
+                    if any(isinstance(v, SparkStream) for v in srcs) \
+                    else [l for v in srcs for l in v]
+            elif n.kind in ("eager", "relay"):
+                values.update((o, value(n.inputs[0])) for o in n.outputs)
             else:
-                # sources, ⓝ, ⓔ, ⓟ-without-aggregator, multi-stream inputs:
-                # sequential execution (the width sink of §6.1)
-                out = exec_node(n, [ensure_lines(v) for v in ins], statics, env)
-            values[n.outputs[0]] = out
+                values[n.outputs[0]] = exec_node(
+                    n, [lines(value(e)) for e in n.inputs],
+                    [lines(value(e)) for e in n.statics], env)
 
         result: List[str] = []
-        for eid in g.graph_outputs():
-            e = g.edges[eid]
-            lines = ensure_lines(values[eid])
+        for eid in pg.graph_outputs():
+            e = pg.edges[eid]
+            out_lines = lines(value(eid))
             if e.kind == "file" and e.label:
-                env.files[e.label] = lines
+                env.files[e.label] = out_lines
             else:
-                result.extend(lines)
+                result.extend(out_lines)
         return result
+    except PythonException as err:
+        # a command failed inside a Spark task: raise its own error
+        msgs = [l[len(_COMMAND_ERROR):] for l in str(err).splitlines()
+                if l.startswith(_COMMAND_ERROR)]
+        if not msgs:
+            raise
+        raise CommandError(msgs[-1]) from err
     finally:
-        # the broadcasts and persisted DataFrames of ingest, split and eager
+        # the broadcasts and persisted DataFrames of ingest and split
         SparkStream.release(made)

@@ -32,7 +32,6 @@ def pash_spark(
     *,
     width: int,
     enable_split: bool = True,
-    enable_eager: bool = False,
     stdin: Optional[List[str]] = None,
     shell_env: Optional[Dict[str, str]] = None,
 ) -> List[str]:
@@ -44,8 +43,7 @@ def pash_spark(
             # intermediates; the caller's cache and conf stay as they were
             out.extend(run_dfg_spark(
                 spark, step.dfg, env, width=width,
-                enable_split=enable_split, enable_eager=enable_eager,
-                stdin=stdin))
+                enable_split=enable_split, stdin=stdin))
         else:
             out.extend(_run_ast(step.ast, list(stdin or []), env, cs.env))
     return out

@@ -54,6 +54,9 @@ class Node:
     # map-argv overrides (e.g. cat -n's map is plain cat) read their whole
     # streaming input from stdin rather than the original file operands
     via_stdin: bool = False
+    # for map/agg nodes: the id of the original node T replicated — all
+    # copies of one command share it
+    origin: Optional[int] = None
 
 
 class DFG:

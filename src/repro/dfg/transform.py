@@ -26,7 +26,8 @@ sequential after the first such node (§6.1).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import dataclasses
+from typing import Dict, List, Optional
 
 from repro.annotations.model import CLASS_P, CLASS_S, Resolved
 
@@ -35,6 +36,18 @@ from .graph import DFG, Edge, Node
 # aggregators that are associative and closed under composition -> binary
 # tree; the rest get one n-ary aggregator node
 BINARY_AGGS = {"sort_m", "uniq", "uniq_c", "wc", "sum", "head", "tail", "tac"}
+
+
+def stream_concat_variant(node: Node) -> Node:
+    """A copy of ``node`` that consumes the *concatenation* of its streaming
+    inputs via stdin: streaming file operands are stripped from argv. Used
+    for the replicated copies T creates from a multi-input node — each copy
+    sees one chunk of the concatenated stream (static operands stay)."""
+    res = node.resolved
+    assert res is not None
+    drop = {res.operand_pos[i] for i in res.inputs if i != "stdin"}
+    argv = tuple(a for j, a in enumerate(node.argv) if j not in drop)
+    return dataclasses.replace(node, argv=argv, via_stdin=True)
 
 
 def parallelize(
@@ -112,14 +125,16 @@ def parallelize(
             return do_split(ib[0])
         return ib
 
-    def merge(b: List[int], *, kind: str = "pipe", label: Optional[str] = None) -> int:
-        if len(b) == 1 and kind == "pipe":
+    def merge(b: List[int], *, kind: str = "pipe", label: Optional[str] = None,
+              sink: bool = False) -> int:
+        # a graph output must come from a node, even for a plain ``cat file``
+        if len(b) == 1 and kind == "pipe" and not (sink and g.edges[b[0]].src is None):
             return b[0]
         out = g.add_edge(kind=kind, label=label).eid
         g.add_node(kind="cat", cmd="cat", inputs=list(b), outputs=[out])
         return out
 
-    def agg_tree(inputs: List[int], agg_name: str, spec: Resolved) -> int:
+    def agg_tree(inputs: List[int], agg_name: str, spec: Resolved, origin: int) -> int:
         """Aggregator stage over ordered map outputs; eager on every
         aggregator input (Fig. 3 places eager before sort -m)."""
         if agg_name in BINARY_AGGS:
@@ -130,7 +145,7 @@ def parallelize(
                     out = g.add_edge().eid
                     g.add_node(
                         kind="agg", cmd=f"agg:{agg_name}", agg_name=agg_name,
-                        agg_spec=spec,
+                        agg_spec=spec, origin=origin,
                         inputs=[eager_wrap(level[i]), eager_wrap(level[i + 1])],
                         outputs=[out],
                     )
@@ -142,7 +157,7 @@ def parallelize(
         out = g.add_edge().eid
         g.add_node(
             kind="agg", cmd=f"agg:{agg_name}", agg_name=agg_name, agg_spec=spec,
-            inputs=[eager_wrap(e) for e in inputs], outputs=[out],
+            origin=origin, inputs=[eager_wrap(e) for e in inputs], outputs=[out],
         )
         return out
 
@@ -161,11 +176,8 @@ def parallelize(
             ib = widen(flat)
             # replicated copies of a multi-input node consume chunks of the
             # concatenation via stdin (streaming operands stripped)
-            proto = n if (res is None or len(res.inputs) <= 1 or len(ib) == 1) else None
-            if proto is None:
-                from repro.compiler.backend_seq import stream_concat_variant
-
-                proto = stream_concat_variant(n)
+            proto = n if (res is None or len(res.inputs) <= 1 or len(ib) == 1) \
+                else stream_concat_variant(n)
             sts = statics_for(n, len(ib))
             outs: List[int] = []
             for i, e in enumerate(ib):
@@ -174,7 +186,7 @@ def parallelize(
                     kind="map" if len(ib) > 1 else "cmd", cmd=proto.cmd,
                     argv=proto.argv, cls=n.cls, resolved=res,
                     inputs=[e], statics=sts[i], outputs=[o],
-                    via_stdin=proto.via_stdin,
+                    via_stdin=proto.via_stdin, origin=n.nid if len(ib) > 1 else None,
                 )
                 outs.append(o)
             out_b = outs
@@ -191,8 +203,6 @@ def parallelize(
                 if res.map_argv:
                     m_cmd, m_argv, via_stdin = res.map_argv[0], tuple(res.map_argv[1:]), True
                 elif len(res.inputs) > 1:
-                    from repro.compiler.backend_seq import stream_concat_variant
-
                     proto = stream_concat_variant(n)
                     m_cmd, m_argv, via_stdin = proto.cmd, proto.argv, True
                 else:
@@ -203,9 +213,9 @@ def parallelize(
                     o = g.add_edge().eid
                     g.add_node(kind="map", cmd=m_cmd, argv=m_argv, cls=n.cls,
                                resolved=res, inputs=[e], statics=sts[i],
-                               outputs=[o], via_stdin=via_stdin)
+                               outputs=[o], via_stdin=via_stdin, origin=n.nid)
                     m_outs.append(o)
-                out_b = [agg_tree(m_outs, res.aggregator, res)]
+                out_b = [agg_tree(m_outs, res.aggregator, res, n.nid)]
         else:
             # N, E, P-without-aggregator, or sources: sequential; width sink
             new_ins = [merge(b) for b in in_bs]
@@ -224,7 +234,8 @@ def parallelize(
             feeds_static = consumer is not None and out_eid in consumer.statics
             if orig_out.dst is None or orig_out.kind == "file":
                 # graph output or file sink: merge to one edge, keep identity
-                merged = merge(out_b, kind=orig_out.kind, label=orig_out.label)
+                merged = merge(out_b, kind=orig_out.kind, label=orig_out.label,
+                               sink=orig_out.dst is None)
                 if orig_out.kind == "file" and orig_out.dst is not None:
                     bundle[out_eid] = [merged]
                 if feeds_static:

@@ -1,5 +1,5 @@
 """PaSh runtime component (§5): the aggregator library, split semantics,
-and the Spark realization of streams (eager ≙ materialized buffers)."""
+and the Spark realization of streams."""
 from typing import List
 
 from .aggregators import AGGREGATORS, aggregate

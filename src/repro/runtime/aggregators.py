@@ -95,18 +95,18 @@ def _agg_uniq_c(parts: List[List[str]], spec: Resolved) -> List[str]:
 
 
 def _agg_wc(parts: List[List[str]], spec: Resolved) -> List[str]:
-    sums: List[int] = []
+    # an empty part is an empty chunk the map never saw (a Spark chunk with
+    # no lines has no rows to run it on): it counts zero
+    cols = sum(1 for f in "lwcm" if spec.opts.get(f)) or 3
+    sums = [0] * cols
     for part in parts:
-        if len(part) != 1:
+        if len(part) > 1:
             raise ValueError("wc aggregator: expected one line per map")
-        vals = [int(tok) for tok in part[0].split()]
-        if not sums:
-            sums = vals
-        else:
-            sums = [a + b for a, b in zip(sums, vals)]
-    if len(sums) == 1:
-        return [str(sums[0])]
-    return [" ".join(f"{c:7d}" for c in sums)]
+        if part:  # the counts, then the file operand's name if any
+            sums = [a + int(tok) for a, tok in zip(sums, part[0].split()[:cols])]
+    body = str(sums[0]) if cols == 1 else " ".join(f"{c:7d}" for c in sums)
+    names = [op for op in spec.operands if op != "-"]
+    return [f"{body} {names[0]}" if names else body]
 
 
 def _agg_sum(parts: List[List[str]], spec: Resolved) -> List[str]:

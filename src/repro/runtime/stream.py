@@ -27,10 +27,7 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
   process structure while saving a full pass;
 * ``split``  -> re-chunking into ``width`` contiguous pieces (count, then
   disperse, like PaSh's split),
-* ``cat``    -> union with bundle-offset on ``p`` (order-preserving),
-* ``eager``  -> ``persist()`` (a materialized buffer; Spark's scheduler has
-  no pipe-laziness — those pathologies are studied in
-  :mod:`repro.pipesim`).
+* ``cat``    -> union with bundle-offset on ``p`` (order-preserving).
 
 **Alignment.** A stream is *aligned* when every chunk ``p`` lives entirely
 in one DataFrame partition. Ingested streams are aligned by construction
@@ -39,7 +36,7 @@ and run map chains with no shuffle; split output pays one
 chunks onto one core while others idle.
 
 **Resources.** A stream lists in ``owned`` the broadcasts and persisted
-DataFrames its plan reads (made by ingest, ``split`` and ``eager``). The
+DataFrames its plan reads (made by ingest and ``split``). The
 caller that built the streams frees exactly those with
 :meth:`SparkStream.release` once their outputs are collected; the
 session's cache is otherwise left alone.
@@ -184,7 +181,7 @@ class SparkStream:
     @staticmethod
     def release(streams: Iterable["SparkStream"]) -> None:
         """Free what ``streams`` own, each object once: destroy the ingest
-        broadcasts, unpersist the DataFrames ``split``/``eager`` persisted."""
+        broadcasts, unpersist the DataFrames ``split`` persisted."""
         owned = {id(r): r for st in streams for r in st.owned}
         for r in owned.values():
             if isinstance(r, DataFrame):
@@ -244,8 +241,6 @@ class SparkStream:
         """Re-chunk into ``width`` contiguous pieces (PaSh split). Fused
         with a deferred aggregate when one is pending — PaSh's agg | split
         process pair in a single task."""
-        if width <= 1:
-            return self.coalesce1()
         if self.agg is not None or self.n_parts == 1:
             df = self._materialized(rechunk_width=width) if self.agg is not None \
                 else self._pre_df().repartition(1).mapInPandas(_rechunk(width), SCHEMA)
@@ -289,15 +284,6 @@ class SparkStream:
         )
         return SparkStream(df, width, aligned=False, owned=owned)
 
-    def coalesce1(self) -> "SparkStream":
-        """Merge all chunks into one (p=0), keeping order."""
-        if self.agg is not None:
-            return SparkStream(self._materialized(1), 1, aligned=True,
-                               owned=self.owned)
-        st = self._mat_stream()
-        df = st.df.repartition(1).mapInPandas(_rechunk(1), SCHEMA)
-        return SparkStream(df, 1, aligned=True, owned=st.owned)
-
     # -- compute ops -----------------------------------------------------------
     def per_chunk(self, fn: ChunkFn) -> "SparkStream":
         """Run the black-box ``fn`` independently on every chunk — the n
@@ -312,12 +298,6 @@ class SparkStream:
         runs driver-side at a sink."""
         base = self._mat_stream() if self.agg is not None else self
         return dataclasses.replace(base, n_parts=1, agg=(fn, base.n_parts), post=[])
-
-    def eager(self) -> "SparkStream":
-        """Materialized buffer (§5 eager relay): persist the intermediate."""
-        st = self._mat_stream()
-        df = st.df.persist()
-        return SparkStream(df, st.n_parts, aligned=st.aligned, owned=st.owned + (df,))
 
     def collect_parts(self) -> List[List[str]]:
         """Collect the ordered chunks — the aggregator's input streams."""

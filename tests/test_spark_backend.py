@@ -8,9 +8,11 @@ import uuid
 import pandas as pd
 import pytest
 from pyspark import StorageLevel
+from pyspark.errors import PythonException
 
-from repro.commands.base import ExecEnv
-from repro.compiler import pash_seq, pash_spark
+from repro.commands.base import CommandError, ExecEnv
+from repro.compiler import compile_script, pash_seq, pash_spark, run_dfg_seq
+from repro.dfg.transform import parallelize
 from repro.oracle import assert_equivalent
 from repro.runtime import split_chunks
 from repro.runtime.naive_parallel import naive_parallel
@@ -128,8 +130,7 @@ class TestSessionHygiene:
             level0 = mine.storageLevel  # looked up in the session's cache
             assert level0 != StorageLevel.NONE
             persistent0 = len(spark.sparkContext._jsc.getPersistentRDDs())
-            out = pash_spark(spark, HYGIENE_SCRIPT, fresh(corpus_env), width=3,
-                             enable_eager=True)
+            out = pash_spark(spark, HYGIENE_SCRIPT, fresh(corpus_env), width=3)
             assert out == pash_seq(HYGIENE_SCRIPT, fresh(corpus_env))
             assert spark.conf.get(key) == "777"
             assert mine.storageLevel == level0
@@ -154,8 +155,7 @@ class TestSessionHygiene:
 
         monkeypatch.setattr(sc, "broadcast", recording)
         if entry == "pash_spark":
-            pash_spark(spark, HYGIENE_SCRIPT, fresh(corpus_env), width=3,
-                       enable_eager=True)
+            pash_spark(spark, HYGIENE_SCRIPT, fresh(corpus_env), width=3)
         else:
             naive_parallel(spark, HYGIENE_SCRIPT, fresh(corpus_env),
                            input_file="in.txt", width=3)
@@ -175,6 +175,90 @@ SPARK_SCRIPTS = [
     'cat in.txt | tr -cs A-Za-z "\\n" | bigrams_aux | sort | uniq',
     "cat in.txt | tac | head -n 7",
 ]
+
+
+def spark_jobs_and_tasks(spark, run):
+    """Call ``run`` in a job group of its own; the Spark jobs it started and
+    the tasks of the stages that ran."""
+    sc = spark.sparkContext
+    group = f"plan-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "plan shape")
+    try:
+        run()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    stages = {s for j in jobs for s in tracker.getJobInfo(j).stageIds}
+    tasks = sum(tracker.getStageInfo(s).numCompletedTasks for s in stages)
+    return len(jobs), tasks
+
+
+# Spark jobs and tasks of one NOAA year at width 3: a change here is a
+# change of the plan, to be made on purpose
+NOAA_YEAR_JOBS_TASKS = (9, 12)
+
+
+class TestPlanShape:
+    """The Spark plan of a region: pinned job and task counts, and the
+    ``origin`` links the backend groups copies by."""
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_map_aggregate_is_one_job(self, spark, corpus_env, width):
+        script = "cat in.txt | tr A-Z a-z | sort"
+        assert spark_jobs_and_tasks(spark, lambda: pash_spark(
+            spark, script, fresh(corpus_env), width=width)) == (1, width)
+
+    def test_noaa_year(self, spark):
+        """Driver-side sources, ingest, map stages, aggregators and
+        re-splits of one loop iteration of Fig. 2."""
+        script = noaa.FULL.replace("{2015..2019}", "2015")
+        env = noaa.make_env(0.05)
+        assert spark_jobs_and_tasks(spark, lambda: pash_spark(
+            spark, script, fresh(env), width=3)) == NOAA_YEAR_JOBS_TASKS
+
+    @pytest.mark.parametrize("script", SPARK_SCRIPTS + [noaa.FULL])
+    def test_copies_name_their_origin(self, script):
+        for step in compile_script(script).steps:
+            if step.kind != "dfg":
+                continue
+            pg = parallelize(step.dfg, 3)
+            for n in pg.nodes.values():
+                if n.kind in ("map", "agg"):
+                    orig = step.dfg.nodes[n.origin]
+                    spec = n.agg_spec if n.kind == "agg" else n.resolved
+                    assert orig.kind == "cmd" and spec is orig.resolved, (script, n)
+
+
+class TestErrors:
+    def test_command_error_matches_seq(self, spark):
+        """A command failing inside a Spark task raises what seq raises."""
+        script = "cat list.txt | xargs -L 1 wc -l"
+        env = ExecEnv(files={"list.txt": ["in.txt", "missing.txt"], "in.txt": ["a"]})
+        with pytest.raises(CommandError) as seq:
+            pash_seq(script, fresh(env))
+        with pytest.raises(CommandError) as par:
+            pash_spark(spark, script, fresh(env), width=2)
+        assert str(par.value) == str(seq.value) == "no such file: missing.txt"
+        assert isinstance(par.value.__cause__, PythonException)
+
+
+# a region that only reads a file; wc with a file operand; a wc map stage
+# after a split into more chunks than there are lines
+EDGE_SCRIPTS = ["cat in.txt", "wc -l in.txt", "wc in.txt",
+                "cat in.txt | sort -u | wc -l"]
+
+
+@pytest.mark.parametrize("lines", [[], ["a", "a", "b a"]], ids=["empty", "three"])
+@pytest.mark.parametrize("script", EDGE_SCRIPTS)
+def test_edge_scripts(spark, script, lines):
+    env = ExecEnv(files={"in.txt": lines})
+    seq = pash_seq(script, fresh(env))
+    [step] = compile_script(script).steps
+    assert run_dfg_seq(parallelize(step.dfg, 3), fresh(env)) == seq
+    assert pash_spark(spark, script, fresh(env), width=3) == seq
 
 
 @pytest.mark.parametrize("width", [2, 7])
