@@ -6,14 +6,15 @@ lowers it node kind by node kind onto :class:`SparkStream`, deciding
 nothing itself. The ``map`` copies of one command (``Node.origin``) become
 one per-chunk operator over their bundle's stream (fused ``mapInPandas``
 stages: PaSh's process chain per width lane), and its ``agg`` tree one
-width-1 ``aggregate``. ``split`` ingests driver lines chunked or re-chunks
-a stream; ``cat`` joins its sources; ``eager`` and ``relay`` pass their
-input on, since Spark stages hand off materialized outputs (pipe laziness
-is modelled in :mod:`repro.pipesim`); ``cmd`` nodes — sources and width
-sinks — run on the driver. A bundle is one stream: consecutive lanes of
-one stream are that stream, and several sources are joined by
-``SparkStream.cat``. A command failing in a Spark task raises
-:class:`CommandError` with its message, as in the sequential backend.
+width-1 ``aggregate``. ``split`` ingests driver lines chunked, or collects
+a stream and ingests its lines again; ``cat`` joins its sources; ``eager``
+and ``relay`` pass their input on, since Spark stages hand off
+materialized outputs (pipe laziness is modelled in :mod:`repro.pipesim`);
+``cmd`` nodes — sources and width sinks — run on the driver. A bundle is
+one stream: consecutive lanes of one stream are that stream, and several
+sources are joined by ``SparkStream.cat``. A command failing in a Spark
+task raises :class:`CommandError` with its message, as in the sequential
+backend.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ def run_dfg_spark(
         """One stream over ``srcs``; driver-resident lines are one chunk."""
         sts = [v if isinstance(v, SparkStream)
                else keep(SparkStream.from_lines(spark, v)) for v in srcs]
-        return sts[0] if len(sts) == 1 else SparkStream.cat(sts)
+        return sts[0] if len(sts) == 1 else keep(SparkStream.cat(sts))
 
     def lines(v) -> List[str]:
         return v.collect_lines() if isinstance(v, SparkStream) else v
@@ -168,5 +169,5 @@ def run_dfg_spark(
             raise
         raise CommandError(msgs[-1]) from err
     finally:
-        # the broadcasts and persisted DataFrames of ingest and split
+        # the ingest broadcasts, including those of streams ingested again
         SparkStream.release(made)

@@ -39,8 +39,8 @@ def pash_spark(
     out: List[str] = []
     for step in cs.steps:
         if step.kind == "dfg":
-            # each region frees its own broadcasts and persisted
-            # intermediates; the caller's cache and conf stay as they were
+            # each region frees its own ingest broadcasts; the caller's
+            # cache and conf stay as they were
             out.extend(run_dfg_spark(
                 spark, step.dfg, env, width=width,
                 enable_split=enable_split, stdin=stdin))

@@ -5,14 +5,15 @@ chunk id — the DFG edge's position in its parallel bundle), ``s``
 (contiguous 0-based sequence number within ``p``) and ``line``. Total
 stream order is lexicographic ``(p, s)``.
 
-**Ingest** (driver-resident lines: graph-input files, width-sink outputs)
-cuts the lines at :func:`~repro.runtime.split_chunks` boundaries and sends
-each chunk as its own broadcast variable. The stream's DataFrame is then
-just the chunk ids, ``spark.range(width)`` in ``width`` partitions, and the
-first ``mapInPandas`` stage fuses the load with the pending chain: task
-``k`` reads chunk ``k`` and runs the chain on it. Python workers unpickle a
-broadcast lazily from its file, so each task loads only its own chunk — one
-job and one stage, no shuffle, and no session conf is touched.
+**Ingest** (driver-resident lines: graph-input files, width-sink outputs,
+re-split streams) cuts the lines at :func:`~repro.runtime.split_chunks`
+boundaries and sends each chunk as its own broadcast variable. The stream's
+DataFrame is then just the chunk ids, ``spark.range(width)`` in ``width``
+partitions, and the first ``mapInPandas`` stage fuses the load with the
+pending chain: task ``k`` reads chunk ``k`` and runs the chain on it.
+Python workers unpickle a broadcast lazily from its file, so each task
+loads only its own chunk — one job and one stage, no shuffle, and no
+session conf is touched.
 
 Mapping of PaSh runtime primitives (§5) onto Spark:
 
@@ -20,29 +21,24 @@ Mapping of PaSh runtime primitives (§5) onto Spark:
   the black-box command chain per chunk (the n replicated nodes of
   transformation T; consecutive per-chunk stages fuse into one Spark stage
   — exactly PaSh's process-chain-per-width-lane execution),
-* aggregate  -> a *deferred* width-1 stage (PaSh's aggregator process).
-  When a split follows (the P-after-P pattern of §6.1's sort-sort), the
-  aggregate and the re-chunking run in one single-partition task — PaSh
-  pipes its aggregator straight into split, so fusing them mirrors the
-  process structure while saving a full pass;
-* ``split``  -> re-chunking into ``width`` contiguous pieces (count, then
-  disperse, like PaSh's split),
-* ``cat``    -> union with bundle-offset on ``p`` (order-preserving).
+* aggregate  -> a *deferred* width-1 step (PaSh's aggregator process). It
+  runs on the driver over the collected map outputs, in chunk order,
+  wherever its output is needed: at a sink, or before a ``split`` or a
+  ``cat`` re-ingests that output,
+* ``split``  -> collect on the driver and ingest again into ``width``
+  chunks — PaSh's split counts its input, then disperses it,
+* ``cat``    -> union with bundle-offset on ``p`` (order-preserving); a
+  stream with a pending aggregate joins it as one re-ingested chunk.
 
-**Alignment.** A stream is *aligned* when every chunk ``p`` lives entirely
-in one DataFrame partition. Ingested streams are aligned by construction
-and run map chains with no shuffle; split output pays one
-``repartitionByRange(p)`` — range, not hash: hash partitioning collides
-chunks onto one core while others idle.
+Every stream is *aligned*: chunk ``p`` lives entirely in one DataFrame
+partition, since ingest puts chunk ``k`` in partition ``k`` and both
+``mapInPandas`` and ``unionAll`` keep partitions whole. So every Spark job
+is one map stage over ingested chunks, with no shuffle.
 
-**Resources.** A stream lists in ``owned`` the broadcasts and persisted
-DataFrames its plan reads (made by ingest and ``split``). The
-caller that built the streams frees exactly those with
-:meth:`SparkStream.release` once their outputs are collected; the
-session's cache is otherwise left alone.
-
-**Spark trap encoded here:** ``coalesce(1)`` would collapse upstream maps
-into the single task (use ``repartition(1)``).
+**Resources.** A stream lists in ``owned`` the ingest broadcasts its plan
+reads, including those its upstream read. The caller that built the
+streams frees exactly those with :meth:`SparkStream.release` once their
+outputs are collected; the session's cache is left alone.
 """
 from __future__ import annotations
 
@@ -101,43 +97,6 @@ def _apply_chain(fns: List[ChunkFn], source: Optional[List[Broadcast]] = None):
     return apply
 
 
-def _agg_stage(agg: AggFn, pre_parts: int, post: List[ChunkFn], width: int):
-    """mapInPandas fn for the fused aggregate(+post chain)(+re-chunk) stage
-    — one single-partition task, like PaSh's aggregator process."""
-
-    def apply(batches):
-        pdf = _gather(batches)
-        if pdf is None:
-            parts: List[List[str]] = [[] for _ in range(pre_parts)]
-        else:
-            order = np.lexsort((pdf["s"].to_numpy(), pdf["p"].to_numpy()))
-            pdf = pdf.iloc[order]
-            lines_all = pdf["line"].tolist()
-            ps = pdf["p"].to_numpy()
-            bounds = np.searchsorted(ps, range(pre_parts + 1))
-            parts = [lines_all[bounds[k]: bounds[k + 1]] for k in range(pre_parts)]
-        lines = agg(parts)
-        for f in post:
-            lines = f(lines)
-        for k, chunk in enumerate(split_chunks(lines, width)):
-            yield _chunk_pdf(k, chunk)
-
-    return apply
-
-
-def _rechunk(width: int):
-    def apply(batches):
-        pdf = _gather(batches)
-        if pdf is None:
-            return
-        order = np.lexsort((pdf["s"].to_numpy(), pdf["p"].to_numpy()))
-        lines = pdf["line"].to_numpy()[order]
-        for k, chunk in enumerate(split_chunks(lines, width)):
-            yield _chunk_pdf(k, list(chunk))
-
-    return apply
-
-
 def _ordered_pandas(df: DataFrame) -> pd.DataFrame:
     pdf = df.toPandas()
     if len(pdf) == 0:
@@ -149,18 +108,16 @@ def _ordered_pandas(df: DataFrame) -> pd.DataFrame:
 @dataclasses.dataclass(eq=False)
 class SparkStream:
     """An ordered line stream distributed over ``n_parts`` contiguous
-    chunks, with a lazily-fused plan: pre-aggregate chunk functions, an
-    optional deferred aggregator, and post-aggregate chunk functions."""
+    chunks, with a lazily-fused plan: chunk functions and an optional
+    deferred aggregator after them."""
 
     df: DataFrame
-    n_parts: int  # post-aggregate view: 1 when agg is set
+    n_parts: int  # 1 when agg is set
     pending: List[ChunkFn] = dataclasses.field(default_factory=list)
-    aligned: bool = False
     agg: Optional[Tuple[AggFn, int]] = None  # (agg_fn, pre_agg_n_parts)
-    post: List[ChunkFn] = dataclasses.field(default_factory=list)
     # ingest broadcasts, one per chunk; ``df`` then holds only the chunk ids
     source: Optional[List[Broadcast]] = None
-    owned: Tuple[object, ...] = ()  # broadcasts and persisted DataFrames
+    owned: Tuple[Broadcast, ...] = ()
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -170,24 +127,19 @@ class SparkStream:
         one broadcast per chunk."""
         lines = list(lines)
         if not lines:
-            return SparkStream(spark.createDataFrame([], schema=SCHEMA), 1,
-                               aligned=True)
+            return SparkStream(spark.createDataFrame([], schema=SCHEMA), 1)
         width = max(1, min(width, len(lines)))
         bcs = [spark.sparkContext.broadcast(chunk)
                for chunk in split_chunks(lines, width)]
         df = spark.range(0, width, 1, width).toDF("p")
-        return SparkStream(df, width, aligned=True, source=bcs, owned=tuple(bcs))
+        return SparkStream(df, width, source=bcs, owned=tuple(bcs))
 
     @staticmethod
     def release(streams: Iterable["SparkStream"]) -> None:
-        """Free what ``streams`` own, each object once: destroy the ingest
-        broadcasts, unpersist the DataFrames ``split`` persisted."""
-        owned = {id(r): r for st in streams for r in st.owned}
-        for r in owned.values():
-            if isinstance(r, DataFrame):
-                r.unpersist()
-            else:
-                r.destroy()
+        """Destroy the ingest broadcasts ``streams`` own, each once."""
+        owned = {id(bc): bc for st in streams for bc in st.owned}
+        for bc in owned.values():
+            bc.destroy()
 
     # -- internal plan materialization ----------------------------------------
     def _pre_df(self) -> DataFrame:
@@ -195,109 +147,50 @@ class SparkStream:
         stream, the load fused with the pending chain."""
         if not self.pending and self.source is None:
             return self.df
-        pre_parts = self.agg[1] if self.agg else self.n_parts
-        df = self.df if self.aligned else \
-            self.df.repartitionByRange(max(pre_parts, 1), "p")
-        return df.mapInPandas(_apply_chain(list(self.pending), self.source), SCHEMA)
-
-    def _materialized(self, rechunk_width: int = 1) -> DataFrame:
-        """Materialize the whole plan. With a deferred aggregate, the
-        aggregator (+post chain +re-chunk) runs as one single-partition
-        task behind a stage boundary so the maps keep their width."""
-        if self.agg is not None:
-            agg_fn, pre_parts = self.agg
-            return self._pre_df().repartition(1).mapInPandas(
-                _agg_stage(agg_fn, pre_parts, list(self.post), rechunk_width),
-                SCHEMA)
-        assert not self.post
-        return self._pre_df()
+        return self.df.mapInPandas(_apply_chain(list(self.pending), self.source), SCHEMA)
 
     def _mat_stream(self) -> "SparkStream":
-        if not self.pending and self.agg is None and self.source is None:
-            return self
-        return SparkStream(self._materialized(), self.n_parts, aligned=True,
-                           owned=self.owned)
+        """This stream with no deferred aggregate: a pending one runs on
+        the driver and its output is ingested again as one chunk."""
+        return self if self.agg is None else self.split(1)
 
     # -- structural ops --------------------------------------------------------
     @staticmethod
     def cat(streams: List["SparkStream"]) -> "SparkStream":
         """Ordered concatenation: shift each stream's chunk ids by the
-        total number of chunks before it (union preserves alignment)."""
+        total number of chunks before it (union keeps chunks whole)."""
         assert streams
         df = None
         off = 0
-        aligned = True
-        owned: Tuple[object, ...] = ()
+        owned: Tuple[Broadcast, ...] = ()
         for st in streams:
             m = st._mat_stream()
-            aligned = aligned and m.aligned
             owned += m.owned
-            part = m.df.select((F.col("p") + F.lit(off)).alias("p"), "s", "line")
+            part = m._pre_df().select((F.col("p") + F.lit(off)).alias("p"), "s", "line")
             df = part if df is None else df.unionAll(part)
-            off += st.n_parts
-        return SparkStream(df, off, aligned=aligned, owned=owned)
+            off += m.n_parts
+        return SparkStream(df, off, owned=owned)
 
     def split(self, width: int) -> "SparkStream":
-        """Re-chunk into ``width`` contiguous pieces (PaSh split). Fused
-        with a deferred aggregate when one is pending — PaSh's agg | split
-        process pair in a single task."""
-        if self.agg is not None or self.n_parts == 1:
-            df = self._materialized(rechunk_width=width) if self.agg is not None \
-                else self._pre_df().repartition(1).mapInPandas(_rechunk(width), SCHEMA)
-            # persist: the consumer's range partitioner samples first, which
-            # would otherwise recompute this single-task stage
-            df = df.persist()
-            return SparkStream(df, width, aligned=False, owned=self.owned + (df,))
-        mdf = self._materialized().persist()
-        owned = self.owned + (mdf,)
-        try:
-            counts = {r["p"]: r["count"] for r in mdf.groupBy("p").count().collect()}
-        except BaseException:
-            mdf.unpersist()
-            raise
-        total = sum(counts.values())
-        if total == 0:
-            return SparkStream(mdf.select(F.lit(0).alias("p"), "s", "line"), 1,
-                               owned=owned)
-        offs: List[int] = []
-        acc = 0
-        for p in range(self.n_parts):
-            offs.append(acc)
-            acc += counts.get(p, 0)
-        off_expr = F.element_at(
-            F.create_map(*[F.lit(x) for pair in enumerate(offs) for x in pair]),
-            F.col("p").cast("int"),
-        )
-        # chunk k = {g : floor(g*width/total) == k}, starting at
-        # ceil(k*total/width) — start map must use the same boundaries
-        bounds = [(k * total + width - 1) // width for k in range(width)]
-        start_expr = F.element_at(
-            F.create_map(*[F.lit(x) for pair in enumerate(bounds) for x in pair]),
-            F.col("np").cast("int"),
-        )
-        df = (
-            mdf.withColumn("g", off_expr + F.col("s"))
-            .withColumn("np", F.floor(F.col("g") * width / total).cast("long"))
-            .withColumn("np", F.least(F.col("np"), F.lit(width - 1)))
-            .select(F.col("np").alias("p"), (F.col("g") - start_expr).alias("s"),
-                    "line")
-        )
-        return SparkStream(df, width, aligned=False, owned=owned)
+        """Re-chunk into ``width`` contiguous pieces (PaSh split): collect
+        on the driver, running a deferred aggregator there, and ingest the
+        lines again. Like ingest, fewer lines than ``width`` make one chunk
+        per line, and no lines one empty chunk."""
+        st = SparkStream.from_lines(self.df.sparkSession, self.collect_lines(), width)
+        return dataclasses.replace(st, owned=self.owned + st.owned)
 
     # -- compute ops -----------------------------------------------------------
     def per_chunk(self, fn: ChunkFn) -> "SparkStream":
         """Run the black-box ``fn`` independently on every chunk — the n
         replicated nodes of transformation T. Lazy and fused."""
-        if self.agg is not None:
-            return dataclasses.replace(self, post=self.post + [fn])
-        return dataclasses.replace(self, pending=self.pending + [fn])
+        base = self._mat_stream()
+        return dataclasses.replace(base, pending=base.pending + [fn])
 
     def aggregate(self, fn: AggFn) -> "SparkStream":
         """Collapse all chunks, in order, through an aggregator — PaSh's
-        width-1 aggregate stage. Deferred: fuses with a following split or
-        runs driver-side at a sink."""
-        base = self._mat_stream() if self.agg is not None else self
-        return dataclasses.replace(base, n_parts=1, agg=(fn, base.n_parts), post=[])
+        width-1 aggregate stage. Deferred until its output is collected."""
+        base = self._mat_stream()
+        return dataclasses.replace(base, n_parts=1, agg=(fn, base.n_parts))
 
     def collect_parts(self) -> List[List[str]]:
         """Collect the ordered chunks — the aggregator's input streams."""
@@ -314,16 +207,10 @@ class SparkStream:
     # -- sinks -----------------------------------------------------------------
     def collect_lines(self) -> List[str]:
         if self.agg is not None:
-            # run the deferred aggregator on the driver: one transfer of the
-            # map outputs instead of an executor round-trip
             agg_fn, pre_parts = self.agg
-            wide = dataclasses.replace(self, n_parts=pre_parts, agg=None, post=[])
-            lines = agg_fn(wide.collect_parts())
-            for f in self.post:
-                lines = f(lines)
-            return lines
-        return _ordered_pandas(self._materialized())["line"].tolist()
+            return agg_fn(dataclasses.replace(self, n_parts=pre_parts, agg=None)
+                          .collect_parts())
+        return _ordered_pandas(self._pre_df())["line"].tolist()
 
     def count(self) -> int:
-        return len(self.collect_lines()) if self.agg is not None \
-            else self._materialized().count()
+        return len(self.collect_lines())

@@ -78,6 +78,18 @@ class TestStream:
         st = SparkStream.from_lines(spark, lines, 3).split(5)
         assert st.n_parts == 5 and st.collect_lines() == lines
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 103])
+    def test_split_of_aggregate(self, spark, n):
+        """The aggregator's output is cut where PaSh's split cuts, after
+        the ingest clamps the width to the line count."""
+        lines = [f"l{i}" for i in range(n)]
+        st = SparkStream.from_lines(spark, lines, 3) \
+            .aggregate(lambda parts: [l for p in parts for l in p]).split(4)
+        try:
+            assert st.collect_parts() == split_chunks(lines, max(1, min(4, n)))
+        finally:
+            SparkStream.release([st])
+
 
 class TestIngest:
     @pytest.mark.parametrize("width", [1, 2, 3, 7])
@@ -115,7 +127,7 @@ class TestIngest:
         assert [s.numTasks for s in stages] == [3]
 
 
-# P after P (a split), eager buffers and ingest: every resource kind a call makes
+# P after P (a split) and ingest: every resource kind a call makes
 HYGIENE_SCRIPT = 'cat in.txt | tr -cs A-Za-z "\\n" | sort | uniq -c | sort -rn | head -n 5'
 
 
@@ -143,7 +155,33 @@ class TestSessionHygiene:
             else:
                 spark.conf.set(key, conf0)
 
-    @pytest.mark.parametrize("entry", ["pash_spark", "naive_parallel"])
+    def test_split_persists_nothing(self, spark, corpus_env, monkeypatch):
+        """While a call runs, the session's persisted RDDs stay those the
+        caller had: a split re-ingests instead of persisting. Recorded after
+        each split and once the outputs are collected, before the call
+        frees anything."""
+        jsc = spark.sparkContext._jsc
+        before = set(jsc.getPersistentRDDs().keySet())
+        seen = []
+        split, release = SparkStream.split, SparkStream.release
+
+        def recording_split(st, width):
+            out = split(st, width)
+            seen.append(set(jsc.getPersistentRDDs().keySet()))
+            return out
+
+        def recording_release(streams):
+            seen.append(set(jsc.getPersistentRDDs().keySet()))
+            release(streams)
+
+        monkeypatch.setattr(SparkStream, "split", recording_split)
+        monkeypatch.setattr(SparkStream, "release", staticmethod(recording_release))
+        out = pash_spark(spark, HYGIENE_SCRIPT, fresh(corpus_env), width=3)
+        assert out == pash_seq(HYGIENE_SCRIPT, fresh(corpus_env))
+        assert len(seen) > 1 and all(ids == before for ids in seen)
+
+    # cat_of_aggregate: a cat ingests an aggregator's output again
+    @pytest.mark.parametrize("entry", ["pash_spark", "naive_parallel", "cat_of_aggregate"])
     def test_call_destroys_its_broadcasts(self, spark, corpus_env, monkeypatch, entry):
         sc = spark.sparkContext
         made = []
@@ -156,6 +194,8 @@ class TestSessionHygiene:
         monkeypatch.setattr(sc, "broadcast", recording)
         if entry == "pash_spark":
             pash_spark(spark, HYGIENE_SCRIPT, fresh(corpus_env), width=3)
+        elif entry == "cat_of_aggregate":
+            pash_spark(spark, "sort in.txt | cat - in2.txt", fresh(corpus_env), width=3)
         else:
             naive_parallel(spark, HYGIENE_SCRIPT, fresh(corpus_env),
                            input_file="in.txt", width=3)
@@ -174,12 +214,15 @@ SPARK_SCRIPTS = [
     "cat in.txt | grep -c the",
     'cat in.txt | tr -cs A-Za-z "\\n" | bigrams_aux | sort | uniq',
     "cat in.txt | tac | head -n 7",
+    # an aggregator's output joined with a file by cat
+    "sort in.txt | cat - in2.txt | tr a-z A-Z",
+    "cat <(sort in.txt) in2.txt | grep w",
 ]
 
 
-def spark_jobs_and_tasks(spark, run):
-    """Call ``run`` in a job group of its own; the Spark jobs it started and
-    the tasks of the stages that ran."""
+def spark_job_stages(spark, run):
+    """Call ``run`` in a job group of its own; the stage ids of each Spark
+    job it started, and the status tracker that knows them."""
     sc = spark.sparkContext
     group = f"plan-{uuid.uuid4().hex}"
     sc.setJobGroup(group, "plan shape")
@@ -190,15 +233,23 @@ def spark_jobs_and_tasks(spark, run):
         sc.setLocalProperty("spark.job.description", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     tracker = sc.statusTracker()
-    jobs = tracker.getJobIdsForGroup(group)
-    stages = {s for j in jobs for s in tracker.getJobInfo(j).stageIds}
+    return [list(tracker.getJobInfo(j).stageIds)
+            for j in tracker.getJobIdsForGroup(group)], tracker
+
+
+def spark_jobs_and_tasks(spark, run):
+    """The Spark jobs ``run`` started and the tasks of the stages that ran."""
+    jobs, tracker = spark_job_stages(spark, run)
+    stages = {s for ids in jobs for s in ids}
     tasks = sum(tracker.getStageInfo(s).numCompletedTasks for s in stages)
     return len(jobs), tasks
 
 
+NOAA_YEAR = noaa.FULL.replace("{2015..2019}", "2015")
+
 # Spark jobs and tasks of one NOAA year at width 3: a change here is a
 # change of the plan, to be made on purpose
-NOAA_YEAR_JOBS_TASKS = (9, 12)
+NOAA_YEAR_JOBS_TASKS = (3, 6)
 
 
 class TestPlanShape:
@@ -214,10 +265,18 @@ class TestPlanShape:
     def test_noaa_year(self, spark):
         """Driver-side sources, ingest, map stages, aggregators and
         re-splits of one loop iteration of Fig. 2."""
-        script = noaa.FULL.replace("{2015..2019}", "2015")
         env = noaa.make_env(0.05)
         assert spark_jobs_and_tasks(spark, lambda: pash_spark(
-            spark, script, fresh(env), width=3)) == NOAA_YEAR_JOBS_TASKS
+            spark, NOAA_YEAR, fresh(env), width=3)) == NOAA_YEAR_JOBS_TASKS
+
+    @pytest.mark.parametrize("script", SPARK_SCRIPTS + [NOAA_YEAR])
+    def test_every_job_is_one_stage(self, spark, corpus_env, script):
+        """No shuffle anywhere: each Spark job is one map stage over
+        ingested chunks."""
+        env = noaa.make_env(0.05) if script == NOAA_YEAR else corpus_env
+        jobs, _ = spark_job_stages(spark, lambda: pash_spark(
+            spark, script, fresh(env), width=3))
+        assert [len(ids) for ids in jobs] == [1] * len(jobs)
 
     @pytest.mark.parametrize("script", SPARK_SCRIPTS + [noaa.FULL])
     def test_copies_name_their_origin(self, script):
@@ -246,9 +305,11 @@ class TestErrors:
 
 
 # a region that only reads a file; wc with a file operand; a wc map stage
-# after a split into more chunks than there are lines
+# after a split into more chunks than there are lines; a split of an
+# aggregator's output that has fewer lines than the width, or none
 EDGE_SCRIPTS = ["cat in.txt", "wc -l in.txt", "wc in.txt",
-                "cat in.txt | sort -u | wc -l"]
+                "cat in.txt | sort -u | wc -l",
+                "cat in.txt | sort | uniq -c | sort -rn | head -n 1"]
 
 
 @pytest.mark.parametrize("lines", [[], ["a", "a", "b a"]], ids=["empty", "three"])
